@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
-from ...shuffle.sorter import sort_key
+from ...shuffle.sorter import comparable_keys, plain_keys, sort_key
 from .aggregates import agg_final, agg_init, agg_input, agg_merge, agg_update
 from .ast_nodes import FuncCall
 from .plan import (
@@ -64,9 +64,16 @@ def rows_to_tuples(rows: list[dict], columns: list[str]) -> list[tuple]:
     return [tuple(row[c] for c in columns) for row in rows]
 
 
+def _hash_table(keys, rows: list[dict]) -> dict:
+    table: dict = {}
+    for key, row in zip(keys, rows):
+        table.setdefault(key, []).append(row)
+    return table
+
+
 def _local_hash_join(node: Join, left_rows: list[dict],
                      right_rows: list[dict], ctx=None) -> list[dict]:
-    build: Optional[dict] = None
+    built = None
     # Broadcast build sides are cached in the container's shared
     # object registry (paper 4.2: Hive's map-join hash table reuse).
     cache_key = None
@@ -76,21 +83,33 @@ def _local_hash_join(node: Join, left_rows: list[dict],
         and node.right.broadcast
     ):
         cache_key = f"hashtable:{node.right.name}:{node.node_id}"
-        build = ctx.cache_get(cache_key)
-    if build is None:
-        build = {}
-        for row in right_rows:
-            key = sort_key(node.right_key.eval(row))
-            build.setdefault(key, []).append(row)
+        built = ctx.cache_get(cache_key)
+    if built is None:
+        right_keys = [node.right_key.eval(row) for row in right_rows]
+        # The entry records its keying: raw keys with a sample of one
+        # of them (none for an empty side), or None for tagged keys.
+        keying = right_keys[:1] if plain_keys(right_keys) else None
+        if keying is None:
+            right_keys = list(map(sort_key, right_keys))
+        built = (keying, _hash_table(right_keys, right_rows))
         if cache_key is not None:
             from ...tez.registry import Scope
-            ctx.cache_put(Scope.DAG, cache_key, build)
+            ctx.cache_put(Scope.DAG, cache_key, built)
+    keying, build = built
+    keys = [node.left_key.eval(row) for row in left_rows]
+    # Raw probes are exact only when the probe keys carry the build
+    # keys' tags; otherwise probe a tagged table.
+    if keying is None or not plain_keys(keys + keying):
+        if keying is not None:
+            build = _hash_table(
+                [sort_key(node.right_key.eval(r)) for r in right_rows],
+                right_rows)
+        keys = list(map(sort_key, keys))
     right_columns = getattr(node, "right_columns", None)
     if right_columns is None:
         right_columns = [k for row in right_rows[:1] for k in row]
     out: list[dict] = []
-    for row in left_rows:
-        key = sort_key(node.left_key.eval(row))
+    for row, key in zip(left_rows, keys):
         matches = build.get(key, [])
         if matches:
             for match in matches:
@@ -142,11 +161,13 @@ def partial_aggregate(rows: list[dict],
                       group_items: list[tuple[str, Any]],
                       aggs: list[FuncCall]) -> list[tuple]:
     """Map-side partial aggregation: (group values, partial states)."""
+    group_values = [
+        tuple(expr.eval(row) for _n, expr in group_items) for row in rows
+    ]
+    keys = comparable_keys(group_values)
     groups: dict[tuple, list] = {}
     raw_keys: dict[tuple, tuple] = {}
-    for row in rows:
-        values = tuple(expr.eval(row) for _n, expr in group_items)
-        key = tuple(sort_key(v) for v in values)
+    for row, values, key in zip(rows, group_values, keys):
         state = groups.get(key)
         if state is None:
             state = [agg_init(a) for a in aggs]

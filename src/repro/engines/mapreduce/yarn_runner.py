@@ -22,7 +22,13 @@ import itertools
 from typing import Any, Generator, Optional
 
 from ...hdfs import Hdfs
-from ...shuffle import FetchFailure, Fetcher, HashPartitioner, ShuffleServices
+from ...shuffle import (
+    FetchFailure,
+    Fetcher,
+    HashPartitioner,
+    ShuffleServices,
+    assign_partitions,
+)
 from ...shuffle import group_by_key, sort_records
 from ...sim import Environment, Interrupt, Store
 from ...yarn import (
@@ -310,8 +316,10 @@ class _MRAppMaster:
             partitions: dict[int, list] = {
                 p: [] for p in range(job.num_reducers)
             }
-            for kv in out:
-                p = self.partitioner.partition(kv[0], job.num_reducers)
+            parts = assign_partitions(self.partitioner,
+                                      [kv[0] for kv in out],
+                                      job.num_reducers)
+            for kv, p in zip(out, parts):
                 partitions[p].append(kv)
             yield self.env.timeout(container.compute_delay(
                 self.spec.sort_time(len(out))

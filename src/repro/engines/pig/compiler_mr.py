@@ -344,9 +344,7 @@ class PigMRCompiler:
             # Client-side histogram from the sample artifact.
             sample_rows = hdfs.read_file(_sample)
             sample = sample_rows[0]["sample"] if sample_rows else []
-            partitioner = RangePartitioner.from_sample(
-                sorted(sample, key=sort_key), _p
-            )
+            partitioner = RangePartitioner.from_sample(sample, _p)
 
             def mapper(records, _d=_dec, _kk=_k):
                 rows = _d(records)

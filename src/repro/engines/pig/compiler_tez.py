@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from ...shuffle import Partitioner, RangePartitioner
-from ...shuffle.sorter import sort_key
+from ...shuffle.sorter import comparable_keys, sort_key
 from ...tez import (
     DAG,
     DataMovementType,
@@ -52,7 +52,11 @@ from ...tez.library import (
     UnorderedPartitionedKVOutput,
 )
 from .model import PigScript, Relation
-from .reference import merge_aggregate_states, partial_aggregate_states
+from .reference import (
+    key_tuples,
+    merge_aggregate_states,
+    partial_aggregate_states,
+)
 
 __all__ = ["PigTezCompiler", "PigTezConfig",
            "PartitionerDefinedVertexManager", "IndexPartitioner"]
@@ -267,7 +271,7 @@ class PigTezCompiler:
         stage.manager = self._svm()
 
         def emit(ctx, rows, inputs, _k=keys):
-            return [(tuple(r[k] for k in _k), r) for r in rows]
+            return list(zip(key_tuples(rows, _k), rows))
 
         def decode(ctx, data, _k=keys):
             return [
@@ -310,7 +314,7 @@ class PigTezCompiler:
         stage.manager = self._svm()
 
         def emit(ctx, rows, inputs, _s=schema):
-            return [(tuple(r[c] for c in _s), None) for r in rows]
+            return [(key, None) for key in key_tuples(rows, _s)]
 
         def decode(ctx, data, _s=schema):
             return [dict(zip(_s, key)) for key, _vals in data]
@@ -354,7 +358,7 @@ class PigTezCompiler:
 
         def emit_keys(keys):
             def emit(ctx, rows, inputs, _k=keys):
-                return [(tuple(r[k] for k in _k), r) for r in rows]
+                return list(zip(key_tuples(rows, _k), rows))
             return emit
 
         flat = lambda ctx, data: [r for _k, r in data]
@@ -417,11 +421,10 @@ class PigTezCompiler:
         stage.combine = _single_input_combine(part.name)
 
         def local_sort(rows, _k=keys, _a=ascending):
-            return sorted(
-                rows,
-                key=lambda r: tuple(sort_key(r[k]) for k in _k),
-                reverse=not _a,
-            )
+            keyed = comparable_keys(key_tuples(rows, _k))
+            order = sorted(range(len(rows)), key=keyed.__getitem__,
+                           reverse=not _a)
+            return list(map(rows.__getitem__, order))
 
         stage.ops.append(local_sort)
         return stage
@@ -456,21 +459,15 @@ class PigTezCompiler:
         rate = self.config.sample_rate
 
         def emit_sample(ctx, rows, inputs, _k=keys, _r=rate):
-            sample = [
-                tuple(r[k] for k in _k)
-                for i, r in enumerate(rows) if i % _r == 0
-            ]
-            return [(0, s) for s in sample]
+            return [(0, s) for s in key_tuples(rows[::_r], _k)]
 
         def decode_sample(ctx, data, _p=parallel):
             keys_seen = [s for _zero, bag in data for s in bag]
-            partitioner = RangePartitioner.from_sample(
-                sorted(keys_seen, key=sort_key), _p
-            )
+            partitioner = RangePartitioner.from_sample(keys_seen, _p)
             # Collapse duplicate boundaries (heavy skew).
             uniq = []
             for b in partitioner.boundaries:
-                if not uniq or uniq[-1] != b:
+                if not uniq or sort_key(uniq[-1]) != sort_key(b):
                     uniq.append(b)
             return [{"boundaries": uniq}]
 
@@ -503,15 +500,13 @@ class PigTezCompiler:
                     _k=keys, _asc=ascending):
             boundaries = inputs[_h][0]["boundaries"]
             count = len(boundaries) + 1
-            rp = RangePartitioner(boundaries)
-            out = []
-            for row in inputs[_p]:
-                key = tuple(row[k] for k in _k)
-                idx = rp.partition(key, count)
-                if not _asc:
-                    idx = count - 1 - idx
-                out.append({"__part": idx, "__row": row})
-            return out
+            rows = inputs[_p]
+            parts = RangePartitioner(boundaries).partition_keys(
+                key_tuples(rows, _k), count)
+            if not _asc:
+                parts = [count - 1 - idx for idx in parts]
+            return [{"__part": idx, "__row": row}
+                    for idx, row in zip(parts, rows)]
 
         stage.combine = combine
         return stage
@@ -579,9 +574,7 @@ class PigTezCompiler:
             for target, emit in targets.items():
                 out[target] = emit(ctx, rows, inputs)
             for sink_name, _path, schema, _rb in sinks:
-                out[sink_name] = [
-                    tuple(r[c] for c in schema) for r in rows
-                ]
+                out[sink_name] = key_tuples(rows, schema)
             return out
 
         return fn
@@ -605,13 +598,13 @@ def _join_combine(left_name, right_name, lk, rk, how,
     right_only = [c for c in right_schema if c not in left_schema]
 
     def combine(ctx, inputs):
+        right, left = inputs[right_name], inputs[left_name]
+        keys = comparable_keys(key_tuples(right, rk) + key_tuples(left, lk))
         build: dict = {}
-        for r in inputs[right_name]:
-            key = tuple(sort_key(r[k]) for k in rk)
+        for r, key in zip(right, keys):
             build.setdefault(key, []).append(r)
         out = []
-        for l in inputs[left_name]:
-            key = tuple(sort_key(l[k]) for k in lk)
+        for l, key in zip(left, keys[len(right):]):
             matches = build.get(key, [])
             if matches:
                 for m in matches:

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Any
+from functools import partial, reduce
+from operator import add, is_not, itemgetter
+from typing import Any, Callable
 
-from ...shuffle.sorter import sort_key
+from ...shuffle.sorter import plain_keys, sort_key
 from .model import PigScript, Relation
 
 __all__ = ["execute_script", "apply_aggregate"]
@@ -83,9 +85,30 @@ def apply_aggregate(rows: list[dict], keys: list[str],
     return out_rows
 
 
+def key_tuples(rows: list[dict], keys: list[str]) -> list[tuple]:
+    """Each row's values of ``keys``, as a tuple."""
+    if not keys:
+        return [()] * len(rows)
+    get = itemgetter(*keys)
+    if len(keys) == 1:
+        return list(zip(map(get, rows)))
+    return list(map(get, rows))
+
+
 def partial_aggregate_states(rows: list[dict], keys: list[str],
                              aggs: dict) -> list[tuple]:
     """Map-side partial aggregation: [(key_values, state_tuple)]."""
+    specs = list(aggs.values())
+    if len(keys) == 1:
+        # One key groups on its bare values, with no tuple per row.
+        column = list(map(itemgetter(keys[0]), rows))
+        if plain_keys(column):
+            return [((key,), state) for key, state
+                    in _plain_partial_states(rows, column, specs)]
+    else:
+        key_values = key_tuples(rows, keys)
+        if plain_keys(key_values):
+            return _plain_partial_states(rows, key_values, specs)
     groups: dict[tuple, list] = {}
     raw: dict[tuple, tuple] = {}
     agg_items = list(aggs.items())
@@ -101,6 +124,64 @@ def partial_aggregate_states(rows: list[dict], keys: list[str],
             value = 1 if field is None else row[field]
             state[i] = agg_step(func, state[i], value)
     return [(raw[g], tuple(state)) for g, state in groups.items()]
+
+
+_not_none = partial(is_not, None)
+
+
+def _fold_sum(values: list) -> Any:
+    values = list(filter(_not_none, values))
+    return reduce(add, values) if values else None
+
+
+def _fold_avg(values: list) -> tuple:
+    values = list(filter(_not_none, values))
+    return (reduce(add, values, 0.0), len(values))
+
+
+def _fold_extreme(pick: Callable) -> Callable:
+    def fold(values: list) -> Any:
+        values = list(filter(_not_none, values))
+        return pick(values) if values else None
+    return fold
+
+
+# Each fold equals ``agg_step`` over a group's values in row order: the
+# same additions in the same order, and min/max keep the first of equal
+# values, as ``agg_step`` does.
+_FOLDS = {
+    "count": None,              # the group's size
+    "sum": _fold_sum,
+    "avg": _fold_avg,
+    "min": _fold_extreme(min),
+    "max": _fold_extreme(max),
+}
+
+
+def _plain_partial_states(rows: list[dict], key_values: list,
+                          specs: list[tuple]) -> list[tuple]:
+    """``partial_aggregate_states`` on plain keys, set at a time: rows
+    are bucketed by raw key (first-seen order, row order within a
+    bucket), then each aggregate column folds per bucket."""
+    groups: dict = {}
+    for key, row in zip(key_values, rows):
+        group = groups.get(key)
+        if group is None:
+            groups[key] = group = []
+        group.append(row)
+    buckets = list(groups.values())
+    columns = []
+    for func, field in specs:
+        fold = _FOLDS[func]
+        if fold is None:
+            columns.append(list(map(len, buckets)))
+        elif field is None:
+            columns.append([fold([1] * len(b)) for b in buckets])
+        else:
+            get = itemgetter(field)
+            columns.append([fold(list(map(get, b))) for b in buckets])
+    states = zip(*columns) if columns else [()] * len(groups)
+    return list(zip(groups, states))
 
 
 def merge_aggregate_states(grouped: list[tuple], keys: list[str],

@@ -1,7 +1,12 @@
 """Simulated YARN shuffle service and shuffle data-plane primitives."""
 
 from .fetcher import FetchFailure, Fetcher, TransientFetchError
-from .partitioner import HashPartitioner, Partitioner, RangePartitioner
+from .partitioner import (
+    HashPartitioner,
+    Partitioner,
+    RangePartitioner,
+    assign_partitions,
+)
 from .service import (
     ShuffleError,
     ShuffleService,
@@ -10,7 +15,13 @@ from .service import (
     SpillLost,
     SpillRef,
 )
-from .sorter import group_by_key, merge_sorted_runs, sort_key, sort_records
+from .sorter import (
+    group_by_key,
+    merge_sorted_runs,
+    plain_keys,
+    sort_key,
+    sort_records,
+)
 
 __all__ = [
     "FetchFailure",
@@ -25,8 +36,10 @@ __all__ = [
     "SpillLost",
     "SpillRef",
     "TransientFetchError",
+    "assign_partitions",
     "group_by_key",
     "merge_sorted_runs",
+    "plain_keys",
     "sort_key",
     "sort_records",
 ]

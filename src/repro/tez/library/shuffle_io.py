@@ -10,12 +10,14 @@ missing output and routes a fresh DataMovementEvent.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Generator, Optional
 
 from ...shuffle import (
     FetchFailure,
     Fetcher,
     HashPartitioner,
+    assign_partitions,
     group_by_key,
     sort_records,
 )
@@ -71,9 +73,10 @@ class _SpillOutputBase(LogicalOutput):
         if count == 1:
             partitions[0] = list(self.records)
             return partitions
-        for record in self.records:
-            key = record[0]
-            partitions[self.partitioner.partition(key, count)].append(record)
+        keys = list(map(itemgetter(0), self.records))
+        parts = assign_partitions(self.partitioner, keys, count)
+        for record, part in zip(self.records, parts):
+            partitions[part].append(record)
         return partitions
 
     def close(self) -> Generator:
