@@ -26,10 +26,12 @@ from ...shuffle import RangePartitioner
 from ...shuffle.sorter import sort_key
 from ..mapreduce.model import MRJob
 from ..mapreduce.yarn_runner import MapReduceYarnRunner
-from .model import PigScript, Relation
+from .model import PigScript, Relation, batch_op
 from .reference import (
+    fold_states,
     merge_aggregate_states,
     partial_aggregate_states,
+    state_combiners,
 )
 
 __all__ = ["PigMRCompiler", "PigMRConfig", "run_pig_on_mr"]
@@ -185,6 +187,10 @@ class PigMRCompiler:
             lambda rows, _f=fn: [_f(r) for r in rows]
         ])
 
+    def _build_foreach_batch(self, rel: Relation) -> _Pending:
+        pending = self._build(rel.parents[0])
+        return _Pending(pending.inputs, pending.ops + [batch_op(rel)])
+
     def _build_flatten(self, rel: Relation) -> _Pending:
         pending = self._build(rel.parents[0])
         fn = rel.params["fn"]
@@ -237,17 +243,8 @@ class PigMRCompiler:
         def reducer(key, states, _k=keys, _a=aggs):
             return merge_aggregate_states([(key, list(states))], _k, _a)
 
-        def combiner(key, states, _a=aggs):
-            from .reference import agg_combine
-            agg_items = list(_a.items())
-            merged = list(states[0])
-            for state in states[1:]:
-                merged = [
-                    agg_combine(func, m, s)
-                    for (_o, (func, _f)), m, s
-                    in zip(agg_items, merged, state)
-                ]
-            return [(key, tuple(merged))]
+        def combiner(key, states, _c=state_combiners(aggs)):
+            return [(key, fold_states(states, _c))]
 
         reducers = self.config.default_parallel if keys else 1
         self._shuffle_job("agg", [(pending, emit)], reducer, reducers,

@@ -4,7 +4,8 @@ Produces a single Tez DAG per script:
 
 * relations with several consumers become *multi-output vertices* (the
   modeling gap the paper calls out for MapReduce);
-* local ops (filter/foreach/flatten) fuse into their producer's vertex;
+* local ops (filter/foreach/foreach_batch/flatten) fuse into their
+  producer's vertex;
 * ORDER BY uses the paper's sample-histogram pattern: the producer
   feeds a 1-task histogram vertex, which (a) broadcasts range
   boundaries to a partitioner vertex and (b) sends a
@@ -51,7 +52,7 @@ from ...tez.library import (
     UnorderedKVInput,
     UnorderedPartitionedKVOutput,
 )
-from .model import PigScript, Relation
+from .model import PigScript, Relation, batch_op
 from .reference import (
     key_tuples,
     merge_aggregate_states,
@@ -254,6 +255,11 @@ class PigTezCompiler:
         stage = self._continue_from(rel.parents[0])
         fn = rel.params["fn"]
         stage.ops.append(lambda rows, _f=fn: [_f(r) for r in rows])
+        return stage
+
+    def _build_foreach_batch(self, rel: Relation) -> _PStage:
+        stage = self._continue_from(rel.parents[0])
+        stage.ops.append(batch_op(rel))
         return stage
 
     def _build_flatten(self, rel: Relation) -> _PStage:

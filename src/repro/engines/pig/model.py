@@ -8,6 +8,16 @@ the multi-output DAG shape the paper says MapReduce forced workarounds
 for and Tez models directly.
 
 Rows are dicts keyed by the relation's schema fields.
+
+FOREACH comes in two forms. :meth:`Relation.foreach` calls its UDF once
+per row. :meth:`Relation.foreach_batch` calls its UDF once per batch of
+rows: once per task on Tez and MR, where it fuses into the producer
+vertex like ``foreach``, and once on the whole relation in the
+reference backend. A batch UDF ``fn(rows: list[dict]) -> list[dict]``
+must be row-wise: output row *i* depends only on input row *i*, so
+its result is the same however the input is split into tasks. It must
+return as many rows as it was given; every backend checks this and
+raises ``ValueError`` naming the relation otherwise.
 """
 
 from __future__ import annotations
@@ -44,6 +54,14 @@ class Relation:
                 schema: list[str]) -> "Relation":
         """FOREACH ... GENERATE: per-row transformation."""
         return Relation(self.script, "foreach", schema, [self], fn=fn)
+
+    def foreach_batch(self, fn: Callable[[list], list],
+                      schema: list[str]) -> "Relation":
+        """FOREACH ... GENERATE with a set-at-a-time UDF: ``fn`` maps a
+        list of rows to a list of the same length, output row *i* from
+        input row *i* alone (see the module docstring)."""
+        return Relation(self.script, "foreach_batch", schema, [self],
+                        fn=fn)
 
     def flatten(self, fn: Callable[[dict], list],
                 schema: list[str]) -> "Relation":
@@ -125,6 +143,23 @@ class Relation:
 
     def __repr__(self) -> str:
         return f"<Relation {self.name} schema={self.schema}>"
+
+
+def batch_op(rel: Relation) -> Callable[[list], list]:
+    """The ``rows -> rows`` op of a ``foreach_batch`` relation: one call
+    of its UDF, with the length check every backend applies."""
+    fn, name = rel.params["fn"], rel.name
+
+    def op(rows: list) -> list:
+        out = fn(rows)
+        if len(out) != len(rows):
+            raise ValueError(
+                f"{name}: foreach_batch UDF returned {len(out)} rows "
+                f"for {len(rows)}"
+            )
+        return out
+
+    return op
 
 
 class PigScript:

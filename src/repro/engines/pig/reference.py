@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 from functools import partial, reduce
+from itertools import repeat
 from operator import add, is_not, itemgetter
 from typing import Any, Callable
 
 from ...shuffle.sorter import plain_keys, sort_key
-from .model import PigScript, Relation
+from .model import PigScript, Relation, batch_op
 
 __all__ = ["execute_script", "apply_aggregate"]
 
@@ -33,24 +34,6 @@ def agg_step(func: str, state: Any, value: Any) -> Any:
         return value if state is None or value < state else state
     if func == "max":
         return value if state is None or value > state else state
-    raise ValueError(func)
-
-
-def agg_combine(func: str, a: Any, b: Any) -> Any:
-    if func == "count":
-        return a + b
-    if func == "avg":
-        return (a[0] + b[0], a[1] + b[1])
-    if a is None:
-        return b
-    if b is None:
-        return a
-    if func == "sum":
-        return a + b
-    if func == "min":
-        return min(a, b)
-    if func == "max":
-        return max(a, b)
     raise ValueError(func)
 
 
@@ -184,23 +167,59 @@ def _plain_partial_states(rows: list[dict], key_values: list,
     return list(zip(groups, states))
 
 
+def _none_yields_other(combine: Callable) -> Callable:
+    def merge(a: Any, b: Any) -> Any:
+        if a is None:
+            return b
+        if b is None:
+            return a
+        return combine(a, b)
+    return merge
+
+
+def _combine_avg(a: tuple, b: tuple) -> tuple:
+    return (a[0] + b[0], a[1] + b[1])
+
+
+# How two partial states of one aggregate merge, the running state on
+# the left: a None sum/min/max state (no non-null value seen) yields the
+# other, and min/max keep the left one of equal states.
+_COMBINERS = {
+    "count": add,
+    "sum": _none_yields_other(add),
+    "avg": _combine_avg,
+    "min": _none_yields_other(min),
+    "max": _none_yields_other(max),
+}
+
+
+def state_combiners(aggs: dict) -> list[Callable]:
+    """Each aggregate's combiner, resolved once for ``fold_states``."""
+    return [_COMBINERS[func] for func, _field in aggs.values()]
+
+
+def fold_states(states: list, combiners: list[Callable]) -> tuple:
+    """One group's partial states merged in order, aggregate by
+    aggregate."""
+    merged = states[0]
+    for state in states[1:]:
+        merged = [c(m, s) for c, m, s in zip(combiners, merged, state)]
+    return tuple(merged)
+
+
 def merge_aggregate_states(grouped: list[tuple], keys: list[str],
                            aggs: dict) -> list[dict]:
     """Reduce-side merge of partial states into final rows."""
-    agg_items = list(aggs.items())
-    out = []
-    for key_values, states in grouped:
-        merged = list(states[0])
-        for state in states[1:]:
-            merged = [
-                agg_combine(func, m, s)
-                for (_o, (func, _f)), m, s in zip(agg_items, merged, state)
-            ]
-        row = dict(zip(keys, key_values))
-        for (out_name, (func, _f)), state in zip(agg_items, merged):
-            row[out_name] = agg_result(func, state)
-        out.append(row)
-    return out
+    combiners = state_combiners(aggs)
+    merged = [fold_states(states, combiners) for _key, states in grouped]
+    for i, (func, _f) in enumerate(aggs.values()):
+        if func == "avg":
+            merged = [(*m[:i], agg_result(func, m[i]), *m[i + 1:])
+                      for m in merged]
+    key_values = map(tuple, map(itemgetter(0), grouped))
+    fields = [*keys, *aggs]
+    return list(map(dict, map(zip, repeat(fields),
+                              map(add, key_values, merged))))
 
 
 def _eval(rel: Relation, hdfs, cache: dict) -> list[dict]:
@@ -215,6 +234,8 @@ def _eval(rel: Relation, hdfs, cache: dict) -> list[dict]:
                 if p["predicate"](r)]
     elif rel.op == "foreach":
         rows = [p["fn"](r) for r in _eval(rel.parents[0], hdfs, cache)]
+    elif rel.op == "foreach_batch":
+        rows = batch_op(rel)(_eval(rel.parents[0], hdfs, cache))
     elif rel.op == "flatten":
         rows = [
             out

@@ -10,14 +10,15 @@ reference implementation for correctness checks.
 
 from __future__ import annotations
 
-import math
 import random
+from itertools import repeat
+from operator import add, getitem, itemgetter, sub
 from typing import Sequence
 
 from ..engines.pig import PigScript
 
 __all__ = ["generate_points", "kmeans_iteration_script",
-           "reference_kmeans_step", "initial_centroids"]
+           "reference_kmeans_step", "initial_centroids", "nearest_batch"]
 
 
 def generate_points(n: int = 10_000, k: int = 4, dim: int = 2,
@@ -43,35 +44,76 @@ def initial_centroids(points: Sequence, k: int) -> list[tuple]:
 def _nearest(coords: tuple, centroids: list[tuple]) -> int:
     best, best_d = 0, float("inf")
     for idx, c in enumerate(centroids):
-        d = sum((a - b) ** 2 for a, b in zip(coords, c))
+        # Explicit left-to-right ``+`` from 0, not ``sum()``: since
+        # Python 3.12 ``sum()`` of floats is compensated (Neumaier), so
+        # with 3 or more dimensions it could pick another centroid than
+        # 3.10/3.11 do. With at most two terms the two agree: the
+        # compensated ``t + e`` rounds back to ``t``.
+        d = 0
+        for a, b in zip(coords, c):
+            d = d + (a - b) ** 2
         if d < best_d:
             best, best_d = idx, d
     return best
+
+
+def nearest_batch(columns: Sequence[Sequence],
+                  centroids: list[tuple]) -> list[int]:
+    """``_nearest`` for a batch of points given as one column per
+    dimension (at least one), computed column-wise with C-level maps.
+
+    Equals ``[_nearest(p, centroids) for p in points]`` exactly:
+
+    * each centroid's distance column is ``(a - c) ** 2`` added up over
+      the dimensions left to right, as ``_nearest`` does. Its leading
+      ``0 +`` is left out: a square is never ``-0.0``, so ``0 + s`` is
+      ``s``, int or float;
+    * ``min(inf, d0, d1, ...)`` replaces its running value only when an
+      argument is strictly less, which is ``_nearest``'s scan from
+      ``+inf``: NaN distances never win and ties keep the first;
+    * the winner is the first position in ``(inf, d0, d1, ...)`` equal
+      to that minimum: an equal earlier distance would have been the
+      minimum itself, and when nothing beat ``inf`` the minimum is
+      ``inf``, found at the leading position, and the point keeps 0.
+    """
+    n = len(columns[0])
+    if not centroids:
+        return [0] * n
+    dists = []
+    for c in centroids:
+        d = None
+        for col, cj in zip(columns, c):
+            sq = map(pow, map(sub, col, repeat(cj)), repeat(2))
+            d = sq if d is None else map(add, d, sq)
+        dists.append([0] * n if d is None else list(d))
+    inf = float("inf")
+    lows = map(min, repeat(inf), *dists)
+    slots = map(tuple.index, zip(repeat(inf), *dists), lows)
+    cluster_of_slot = (0, *range(len(centroids)))
+    return list(map(getitem, repeat(cluster_of_slot), slots))
 
 
 def kmeans_iteration_script(centroids: list[tuple], points_path: str,
                             out_path: str, dim: int = 2) -> PigScript:
     """One k-means iteration as a Pig dataflow.
 
-    Assign each point to its nearest centroid (FOREACH with the current
-    centroids injected as a UDF closure — Tez's opaque payload code
-    injection), then aggregate per-cluster sums to produce the new
-    centroids.
+    Assign each point to its nearest centroid (a batch FOREACH with the
+    current centroids injected as a UDF closure — Tez's opaque payload
+    code injection — run once per task by ``nearest_batch``), then
+    aggregate per-cluster sums to produce the new centroids.
     """
-    schema = ["pid"] + [f"x{d}" for d in range(dim)]
+    fields = [f"x{d}" for d in range(dim)]
     script = PigScript("kmeans_iter")
-    points = script.load(points_path, schema)
+    points = script.load(points_path, ["pid"] + fields)
+    out_schema = ["cluster"] + fields
 
-    def assign(row, _c=list(centroids), _dim=dim):
-        coords = tuple(row[f"x{d}"] for d in range(_dim))
-        out = {"cluster": _nearest(coords, _c)}
-        for d in range(_dim):
-            out[f"x{d}"] = coords[d]
-        return out
+    def assign(rows, _c=list(centroids), _fields=fields, _out=out_schema):
+        columns = [list(map(itemgetter(f), rows)) for f in _fields]
+        clusters = nearest_batch(columns, _c)
+        return list(map(dict, map(zip, repeat(_out),
+                                  zip(clusters, *columns))))
 
-    assigned = points.foreach(
-        assign, ["cluster"] + [f"x{d}" for d in range(dim)]
-    )
+    assigned = points.foreach_batch(assign, out_schema)
     aggs = {"n": ("count", None)}
     for d in range(dim):
         aggs[f"sx{d}"] = ("sum", f"x{d}")
@@ -95,7 +137,12 @@ def centroids_from_rows(rows: list[tuple], k: int,
 
 def reference_kmeans_step(points: Sequence, centroids: list[tuple],
                           dim: int = 2) -> list[tuple]:
-    """Pure-python single iteration (ground truth for tests)."""
+    """Pure-python single iteration (ground truth for tests).
+
+    Assigns point by point with ``_nearest``, not with ``nearest_batch``:
+    the Pig reference backend runs the same batch kernel as Tez, so this
+    stays an oracle independent of it.
+    """
     k = len(centroids)
     counts = [0] * k
     sums = [[0.0] * dim for _ in range(k)]

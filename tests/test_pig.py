@@ -1,8 +1,10 @@
 """Pig engine tests: model validation + differential Tez/MR vs reference."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.engines.pig import PigRunner, PigScript
+from repro.engines.pig.reference import agg_result, merge_aggregate_states
 
 from helpers import make_sim
 
@@ -301,6 +303,137 @@ def test_flatten(env):
     ref, tez = run_both(sim, runner, build)
     assert_outputs_match(ref, tez)
     runner.close()
+
+
+NUMS = [(i, i % 7, i * 0.25) for i in range(600)]   # 4 HDFS blocks
+
+
+def _nums(script):
+    return script.load("/data/nums", ["i", "m", "f"])
+
+
+def _tagged_batch(calls):
+    """A row-wise batch UDF that logs each batch's size."""
+    def fn(rows):
+        calls.append(len(rows))
+        return [{"i": r["i"], "tag": f"{r['m']}:{r['f'] * 3}"}
+                for r in rows]
+    return fn
+
+
+def test_foreach_batch_matches_reference_on_every_backend(env):
+    sim, runner = env
+    sim.hdfs.write("/data/nums", NUMS, record_bytes=24)
+    results, calls = {}, {}
+    for backend in ("reference", "mr", "tez"):
+        calls[backend] = []
+        s = PigScript("batch")
+        tagged = _nums(s).filter(lambda r: r["i"] % 5).foreach_batch(
+            _tagged_batch(calls[backend]), ["i", "tag"])
+        tagged.store(f"/out/tagged_{backend}")
+        tagged.aggregate(["tag"], {"n": ("count", None)}) \
+            .store(f"/out/tag_counts_{backend}")
+        out = runner.run(s, backend=backend).outputs
+        results[backend] = [sorted(rows, key=repr)
+                            for _path, rows in sorted(out.items())]
+    assert results["reference"] == results["mr"] == results["tez"]
+    kept = sum(1 for i, _m, _f in NUMS if i % 5)
+    assert calls["reference"] == [kept]
+    for backend in ("mr", "tez"):
+        # Once per task: the input spans several HDFS blocks.
+        assert len(calls[backend]) > 1
+        assert sum(calls[backend]) == kept
+    runner.close()
+
+
+@pytest.mark.parametrize("backend", ["reference", "mr", "tez"])
+def test_foreach_batch_wrong_length_fails_naming_relation(env, backend):
+    sim, runner = env
+    sim.hdfs.write("/data/nums", NUMS, record_bytes=24)
+    s = PigScript("short")
+    dropped = _nums(s).foreach_batch(lambda rows: rows[1:],
+                                     ["i", "m", "f"])
+    dropped.store("/out/short")
+    with pytest.raises((ValueError, RuntimeError)) as info:
+        runner.run(s, backend=backend)
+    message = f"{info.typename}: {info.value}"
+    assert "ValueError" in message
+    assert f"{dropped.name}: foreach_batch UDF returned" in message
+    runner.close()
+
+
+def _agg_combine(func, a, b):
+    """Two partial states merged by string dispatch on ``func``."""
+    if func == "count":
+        return a + b
+    if func == "avg":
+        return (a[0] + b[0], a[1] + b[1])
+    if a is None:
+        return b
+    if b is None:
+        return a
+    if func == "sum":
+        return a + b
+    if func == "min":
+        return min(a, b)
+    if func == "max":
+        return max(a, b)
+    raise ValueError(func)
+
+
+def _merge_by_combine_loop(grouped, keys, aggs):
+    """``merge_aggregate_states`` as one ``_agg_combine`` call per state
+    and aggregate: the reference ``merge_aggregate_states`` must equal."""
+    agg_items = list(aggs.items())
+    out = []
+    for key_values, states in grouped:
+        merged = list(states[0])
+        for state in states[1:]:
+            merged = [
+                _agg_combine(func, m, s)
+                for (_o, (func, _f)), m, s in zip(agg_items, merged, state)
+            ]
+        row = dict(zip(keys, key_values))
+        for (out_name, (func, _f)), state in zip(agg_items, merged):
+            row[out_name] = agg_result(func, state)
+        out.append(row)
+    return out
+
+
+_NUMBER = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.floats(allow_nan=False, allow_infinity=False, width=32),
+    st.sampled_from([0.1, 0.2, 0.3, 1e16, -1e16, -0.0]),
+)
+_STATE_OF = {
+    "count": st.integers(0, 50),
+    "sum": st.one_of(st.none(), _NUMBER),
+    "avg": st.tuples(_NUMBER, st.integers(0, 50)),
+    "min": st.one_of(st.none(), _NUMBER),
+    "max": st.one_of(st.none(), _NUMBER),
+}
+
+
+@st.composite
+def _grouped_states(draw):
+    funcs = draw(st.lists(st.sampled_from(sorted(_STATE_OF)), max_size=6))
+    aggs = {f"a{i}": (func, None if func == "count" else "v")
+            for i, func in enumerate(funcs)}
+    state = st.tuples(*(_STATE_OF[func] for func in funcs))
+    grouped = draw(st.lists(
+        st.tuples(st.tuples(st.integers(0, 3)),
+                  st.lists(state, min_size=1, max_size=5)),
+        max_size=4,
+    ))
+    return grouped, aggs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_grouped_states())
+def test_merge_aggregate_states_equals_combine_loop(case):
+    grouped, aggs = case
+    assert repr(merge_aggregate_states(grouped, ["k"], aggs)) == \
+        repr(_merge_by_combine_loop(grouped, ["k"], aggs))
 
 
 def test_limit(env):

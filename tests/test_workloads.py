@@ -1,6 +1,9 @@
 """Workload generators + end-to-end correctness on benchmark queries."""
 
+import math
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.engines.hive import Catalog, HiveSession
 from repro.engines.pig import PigRunner
@@ -19,6 +22,7 @@ from repro.workloads import (
     register_tpcds,
     register_tpch,
 )
+from repro.workloads.kmeans import _nearest, nearest_batch
 
 from helpers import make_sim
 
@@ -161,3 +165,55 @@ def test_kmeans_pig_iteration_matches_reference():
         for a, b in zip(got, want):
             assert abs(a - b) < 1e-6
     runner.close()
+
+
+def test_kmeans_session_records_one_template_and_replays_the_rest():
+    sim = make_sim()
+    points = generate_points(1000, k=3)
+    sim.hdfs.write("/km/points", points, record_bytes=24)
+    runner = PigRunner(sim)
+    centroids = initial_centroids(points, 3)
+    iterations = 4
+    for i in range(iterations):
+        out = f"/km/out_{i}"
+        result = runner.run(
+            kmeans_iteration_script(centroids, "/km/points", out),
+            backend="tez",
+        )
+        centroids = centroids_from_rows(result.outputs[out], 3, centroids)
+    [stats] = runner.tez_client.coordinator.template_summaries()
+    assert stats["recorded"] == 1
+    assert stats["hits"] == iterations - 1
+    assert stats["fallbacks"] == 0
+    runner.close()
+
+
+# Small ints make ties (equidistant points, duplicate centroids) common;
+# magnitudes stay below 1e100 so no square overflows.
+_COORD = st.one_of(
+    st.integers(-3, 3),
+    st.floats(-1e100, 1e100, allow_nan=False),
+    st.sampled_from([-0.0, 0.5, math.inf, -math.inf, math.nan]),
+)
+
+
+@st.composite
+def _points_and_centroids(draw):
+    dim = draw(st.integers(1, 4))
+    vector = st.tuples(*[_COORD] * dim)
+    centroids = draw(st.lists(vector, min_size=1, max_size=6))
+    centroids += draw(st.lists(st.sampled_from(centroids), max_size=2))
+    points = draw(st.lists(vector, max_size=12))
+    return dim, points, centroids
+
+
+@settings(max_examples=400, deadline=None)
+@given(_points_and_centroids())
+@example((1, [], [(0,)]))                                   # empty batch
+@example((2, [(0, 0), (0, 5)], [(1, 0), (-1, 0), (1, 0)]))  # ties
+@example((2, [(math.nan, 1), (math.inf, 0)], [(0, 0), (2, 2)]))
+def test_nearest_batch_equals_nearest_per_point(case):
+    dim, points, centroids = case
+    columns = [[p[d] for p in points] for d in range(dim)]
+    assert nearest_batch(columns, centroids) == \
+        [_nearest(p, centroids) for p in points]
